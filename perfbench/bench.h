@@ -157,10 +157,43 @@ class ParkedPopulation {
   std::atomic<int> parked_{0};
 };
 
-// The paper's Figures 5 and 6 plus the population, measured for `budget_s`
-// seconds in total. Sets the create_*, sync_* and (traced) arch/sync metrics.
-void RunFigures(const Options& opt, double budget_s, Result* r,
-                LayerCounters* traced);
+// The paper's Figures 5 and 6, measured in short rounds that a workload
+// interleaves with its own load, so a slow stretch of the machine lands on
+// every figure and on the load a little rather than on one of them entirely.
+class Figures {
+ public:
+  explicit Figures(const Options& opt) : opt_(opt) {}
+
+  // Runs the figures for about `seconds`, summing the counter deltas of
+  // traced rounds into *traced.
+  void Run(double seconds, Result* r, LayerCounters* traced);
+  // Sets the create_*, sync_* and (traced) arch/sync metrics from the rounds
+  // run so far, and checks unbound below bound.
+  void Finish(Result* r, LayerCounters* traced);
+
+ private:
+  // Timed blocks of one figure, in µs, by phase (one per round), with the
+  // host's steal share during each phase.
+  struct Blocks {
+    std::vector<double> steal;
+    std::vector<std::vector<double>> blocks;
+  };
+  // Runs one phase of a figure, appending its blocks and steal to *b.
+  template <typename Fn>
+  static void Timed(Blocks* b, Fn fn);
+  // The best decile of the blocks of the quiet phases (see QuietWindows).
+  static double Best(const Blocks& b);
+
+  Options opt_;
+  int rounds_ = 0;
+  double seconds_ = 0;
+  Blocks create_unbound_, create_bound_;
+  Blocks sync_unbound_, sync_bound_, sync_xproc_;
+  int64_t v_ns_ = 0;  // traced: time inside sema_v / sema_p
+  int64_t p_ns_ = 0;
+  uint64_t traced_handshakes_ = 0;
+  LayerCounters xproc_;
+};
 
 // Replays run after the timed window of a traced run.
 double PingPongNs(double seconds);

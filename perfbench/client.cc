@@ -11,9 +11,11 @@
 //
 // Control protocol with the server process (line-based):
 //   stdout "ready"            connections made and warm-up finished
-//   stdin  "go" | "quit"      start the timed window | exit now
+//   stdin  "go S"             run a timed segment of S seconds
 //   stdout "done"             every thread has finished its last request
-//   stdout "result k=v ..."   counts and latency quantiles of the window
+//   stdin  "report"           print the result and exit
+//   stdout "result k=v ..."   counts and latency quantiles of all segments
+//   stdin  "quit" (or EOF)    exit now
 
 #include <arpa/inet.h>
 #include <errno.h>
@@ -41,7 +43,6 @@ struct Options {
   int port = 0;
   bool churn = false;
   uint64_t seed = 1;
-  double seconds = 1;
   int threads = 1;
   bool trace = false;
   std::string spans;
@@ -171,6 +172,9 @@ class Client {
     }
     fds_.assign(static_cast<size_t>(opt.threads), -1);
     tallies_.resize(static_cast<size_t>(opt.threads));
+    for (int t = 0; t < opt.threads; ++t) {
+      keys_.push_back(KeyStream(opt.seed, t));
+    }
   }
 
   ~Client() {
@@ -205,24 +209,30 @@ class Client {
     }
   }
 
-  // The timed window: every thread loops until the deadline, then finishes
-  // the request it has in flight.
-  void Run() {
+  // One timed segment: every thread loops until the deadline, then finishes
+  // the request it has in flight. Each thread's key stream carries on from
+  // one segment to the next.
+  void Run(double seconds) {
     int64_t start = NowNs();
-    int64_t deadline = start + static_cast<int64_t>(opt_.seconds * 1e9);
-    for (int t = 0; t < opt_.threads; ++t) {
-      windows_.emplace_back(start, opt_.seconds);
-    }
+    int64_t deadline = start + static_cast<int64_t>(seconds * 1e9);
+    std::vector<WindowedLatency> windows(static_cast<size_t>(opt_.threads),
+                                         WindowedLatency(start, seconds));
+    HostSampler host(start, WindowedLatency::kWindowNs, windows[0].windows());
     RunThreads([&](int t) {
-      Rng keys = KeyStream(opt_.seed, t);
+      Rng* keys = &keys_[static_cast<size_t>(t)];
       Tally* tally = &tallies_[static_cast<size_t>(t)];
-      WindowedLatency* latency = &windows_[static_cast<size_t>(t)];
+      WindowedLatency* latency = &windows[static_cast<size_t>(t)];
       while (NowNs() < deadline) {
-        Request(t, static_cast<uint32_t>(keys.Below(targets_.size())), tally,
+        Request(t, static_cast<uint32_t>(keys->Below(targets_.size())), tally,
                 latency);
       }
     });
-    elapsed_ns_ = NowNs() - start;
+    elapsed_ns_ += NowNs() - start;
+    for (size_t t = 1; t < windows.size(); ++t) {
+      windows[0].Merge(windows[t]);
+    }
+    windows[0].SetHost(host.Finish());
+    windows_.Append(windows[0]);
   }
 
   void Report() {
@@ -235,16 +245,13 @@ class Client {
       all.resets += t.resets;
       all.timeouts += t.timeouts;
     }
-    for (size_t t = 1; t < windows_.size(); ++t) {
-      windows_[0].Merge(windows_[t]);
-    }
     // Every response read, whatever its verdict, in warm-up and window.
     uint64_t received =
         warm_received_ + all.completed + all.bad_status + all.bad_body;
     if (opt_.inject_short) {
       received -= 1;  // self-test: under-report one response
     }
-    const WindowedLatency& lat = windows_[0];
+    const WindowedLatency& lat = windows_;
     printf("result attempted=%llu completed=%llu bad_status=%llu bad_body=%llu "
            "resets=%llu timeouts=%llu warm_attempted=%llu received=%llu "
            "warm_failed=%llu elapsed_ns=%lld rate=%.3f p50_ns=%.1f "
@@ -258,8 +265,8 @@ class Client {
            static_cast<unsigned long long>(warm_attempted_),
            static_cast<unsigned long long>(received),
            static_cast<unsigned long long>(warm_failed_),
-           static_cast<long long>(elapsed_ns_), lat.BestRate(),
-           lat.BestQuantile(0.50), lat.BestQuantile(0.99), lat.windows());
+           static_cast<long long>(elapsed_ns_), lat.QuietRate(),
+           lat.QuietQuantile(0.50), lat.QuietQuantile(0.99), lat.windows());
     fflush(stdout);
   }
 
@@ -348,7 +355,8 @@ class Client {
   std::vector<std::string> bodies_;
   std::vector<int> fds_;
   std::vector<Tally> tallies_;
-  std::vector<WindowedLatency> windows_;  // per thread, timed window only
+  std::vector<Rng> keys_;   // per thread, the timed segments' key stream
+  WindowedLatency windows_;  // every timed segment's windows
   uint64_t next_id_[64] = {};
   std::string buf_[64];
   uint64_t warm_attempted_ = 0;
@@ -383,8 +391,6 @@ int main(int argc, char** argv) {
       opt.churn = std::string(v) == "churn";
     } else if (k == "--seed") {
       opt.seed = strtoull(v, nullptr, 10);
-    } else if (k == "--seconds") {
-      opt.seconds = atof(v);
     } else if (k == "--threads") {
       opt.threads = atoi(v);
     } else if (k == "--trace") {
@@ -407,13 +413,18 @@ int main(int argc, char** argv) {
   printf("ready\n");
   fflush(stdout);
   std::string cmd;
-  if (!perfbench::ReadCommand(&cmd) || cmd != "go") {
-    return 0;
+  while (perfbench::ReadCommand(&cmd)) {
+    if (cmd.compare(0, 3, "go ") == 0) {
+      client.Run(atof(cmd.c_str() + 3));
+      printf("done\n");
+      fflush(stdout);
+    } else if (cmd == "report") {
+      client.Report();
+      client.WriteSpans();
+      return 0;
+    } else {
+      return 0;
+    }
   }
-  client.Run();
-  printf("done\n");
-  fflush(stdout);
-  client.Report();
-  client.WriteSpans();
   return 0;
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace perfbench {
@@ -199,30 +200,129 @@ inline double QuantileOf(std::vector<double> v, double q) {
   return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
-// The best tenth of a run's timed blocks or windows: the fastest decile of
-// times, or the highest decile of rates. Interference from outside the
-// program (another tenant of the host taking the CPUs for seconds at a time)
-// only ever slows a block, so the best decile is the figure that repeats
-// from run to run; a change that slows every block still moves it.
+// The best tenth of a run's timed blocks: the fastest decile of times.
+// Interference from outside the program only ever slows a block, so the best
+// decile is the figure that repeats from run to run; a change that slows
+// every block still moves it.
 inline double BestDecileTime(const std::vector<double>& v) {
   return QuantileOf(v, 0.1);
 }
-inline double BestDecileRate(const std::vector<double>& v) {
-  return QuantileOf(v, 0.9);
+
+// ---- Host interference --------------------------------------------------------
+//
+// The benchmark runs on a virtual machine whose host is shared. While the
+// host runs other guests' work on this machine's CPUs ("steal" in /proc/stat),
+// the program under test slows far more than the stolen share: its LWPs spin
+// on a lock whose holder's CPU has been taken away. Steal comes and goes within
+// a run, so each timed segment is cut into windows, the host's steal is read
+// at every window boundary, and the load metrics come from the quietest
+// windows: the quarter with the least steal, and every window that ties with
+// them. Without steal (or without /proc/stat) every window counts.
+
+// A reading at one instant: the machine's steal and total CPU ticks, and this
+// process's CPU time.
+struct HostTicks {
+  uint64_t steal = 0;
+  uint64_t total = 0;
+  int64_t process_cpu_ns = 0;
+
+  static HostTicks Read() {
+    HostTicks t;
+    unsigned long long v[8] = {};
+    FILE* f = fopen("/proc/stat", "r");
+    if (f != nullptr) {
+      if (fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &v[0],
+                 &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]) == 8) {
+        t.steal = v[7];
+        for (unsigned long long x : v) {
+          t.total += x;
+        }
+      }
+      fclose(f);
+    }
+    struct timespec ts;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    t.process_cpu_ns =
+        static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+    return t;
+  }
+
+  // Share of the CPU ticks between `a` and `b` that the host stole.
+  static double StealShare(const HostTicks& a, const HostTicks& b) {
+    return b.total > a.total ? static_cast<double>(b.steal - a.steal) /
+                                   static_cast<double>(b.total - a.total)
+                             : 0.0;
+  }
+};
+
+// The windows of the quietest quarter by steal share, and every other window
+// whose share is no higher than the noisiest of that quarter.
+inline std::vector<size_t> QuietWindows(const std::vector<double>& steal) {
+  if (steal.empty()) {
+    return {};
+  }
+  std::vector<double> sorted = steal;
+  std::sort(sorted.begin(), sorted.end());
+  double cutoff = sorted[(sorted.size() - 1) / 4];
+  std::vector<size_t> quiet;
+  for (size_t i = 0; i < steal.size(); ++i) {
+    if (steal[i] <= cutoff) {
+      quiet.push_back(i);
+    }
+  }
+  return quiet;
 }
 
-// Request latencies of a timed window, kept per 0.25 s sub-window; each figure
-// is the best decile over the sub-windows (see BestDecileTime).
+// Reads HostTicks at each window boundary of a timed segment, on a thread of
+// its own that sleeps in between.
+class HostSampler {
+ public:
+  HostSampler(int64_t start_ns, int64_t window_ns, size_t windows)
+      : ticks_(windows + 1), thread_([this, start_ns, window_ns] {
+          for (size_t i = 0; i < ticks_.size(); ++i) {
+            int64_t at = start_ns + static_cast<int64_t>(i) * window_ns;
+            struct timespec ts = {static_cast<time_t>(at / 1000000000),
+                                  static_cast<long>(at % 1000000000)};
+            while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts,
+                                   nullptr) != 0) {
+            }
+            ticks_[i] = HostTicks::Read();
+          }
+        }) {}
+
+  ~HostSampler() {
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+
+  // Waits for the last boundary and returns the readings.
+  const std::vector<HostTicks>& Finish() {
+    thread_.join();
+    return ticks_;
+  }
+
+ private:
+  std::vector<HostTicks> ticks_;
+  std::thread thread_;
+};
+
+// Request latencies of timed segments, kept per 0.25 s window together with
+// the host's steal and the process's CPU time in each window.
 class WindowedLatency {
  public:
   static constexpr int64_t kWindowNs = 250 * 1000 * 1000;
   static constexpr uint64_t kMinSamples = 100;  // for a window's quantiles
 
+  // No windows yet; Append() adds those of timed segments.
+  WindowedLatency() = default;
+  // The whole windows of a segment of `seconds` from `start_ns`.
   WindowedLatency(int64_t start_ns, double seconds)
       : start_ns_(start_ns),
-        windows_(static_cast<size_t>(
-            std::max<int64_t>(1, static_cast<int64_t>(seconds * 1e9) /
-                                     kWindowNs))) {}
+        windows_(static_cast<size_t>(std::max<int64_t>(
+            1, static_cast<int64_t>(seconds * 1e9 + 1e6) / kWindowNs))),
+        steal_(windows_.size(), 0.0),
+        cpu_ns_(windows_.size(), 0) {}
 
   // Completions after the last whole window are not counted.
   void Add(int64_t end_ns, int64_t latency_ns) {
@@ -232,38 +332,70 @@ class WindowedLatency {
     }
   }
 
+  // Sums another thread's latencies of the same segment into this one.
   void Merge(const WindowedLatency& other) {
     for (size_t i = 0; i < windows_.size() && i < other.windows_.size(); ++i) {
       windows_[i].Merge(other.windows_[i]);
     }
   }
 
-  // Completions per second of the best windows.
-  double BestRate() const {
-    std::vector<double> rates;
-    for (const LatencyHistogram& w : windows_) {
-      rates.push_back(static_cast<double>(w.count()) * 1e9 / kWindowNs);
+  // Takes each window's steal share and process CPU time from a HostSampler
+  // of the same segment (windows() + 1 readings).
+  void SetHost(const std::vector<HostTicks>& ticks) {
+    for (size_t i = 0; i < windows_.size() && i + 1 < ticks.size(); ++i) {
+      steal_[i] = HostTicks::StealShare(ticks[i], ticks[i + 1]);
+      cpu_ns_[i] = ticks[i + 1].process_cpu_ns - ticks[i].process_cpu_ns;
     }
-    return BestDecileRate(rates);
   }
 
-  // Quantile q of the request latency in the best windows (of those with
-  // enough samples).
-  double BestQuantile(double q) const {
+  // Adds the windows of a later segment.
+  void Append(const WindowedLatency& other) {
+    windows_.insert(windows_.end(), other.windows_.begin(),
+                    other.windows_.end());
+    steal_.insert(steal_.end(), other.steal_.begin(), other.steal_.end());
+    cpu_ns_.insert(cpu_ns_.end(), other.cpu_ns_.begin(), other.cpu_ns_.end());
+  }
+
+  // Median completions per second over the quiet windows.
+  double QuietRate() const {
+    std::vector<double> rates;
+    for (size_t i : QuietWindows(steal_)) {
+      rates.push_back(static_cast<double>(windows_[i].count()) * 1e9 /
+                      kWindowNs);
+    }
+    return Median(rates);
+  }
+
+  // Median over the quiet windows (of those with enough samples) of each
+  // window's latency quantile q.
+  double QuietQuantile(double q) const {
     std::vector<double> values;
-    for (const LatencyHistogram& w : windows_) {
-      if (w.count() >= kMinSamples) {
-        values.push_back(w.Quantile(q));
+    for (size_t i : QuietWindows(steal_)) {
+      if (windows_[i].count() >= kMinSamples) {
+        values.push_back(windows_[i].Quantile(q));
       }
     }
-    return BestDecileTime(values);
+    return Median(values);
+  }
+
+  // The process's CPU time per completion over the quiet windows.
+  double QuietCpuNsPerOp() const {
+    int64_t cpu = 0;
+    uint64_t ops = 0;
+    for (size_t i : QuietWindows(steal_)) {
+      cpu += cpu_ns_[i];
+      ops += windows_[i].count();
+    }
+    return ops == 0 ? 0.0 : static_cast<double>(cpu) / static_cast<double>(ops);
   }
 
   size_t windows() const { return windows_.size(); }
 
  private:
-  int64_t start_ns_;
+  int64_t start_ns_ = 0;
   std::vector<LatencyHistogram> windows_;
+  std::vector<double> steal_;
+  std::vector<int64_t> cpu_ns_;
 };
 
 }  // namespace perfbench

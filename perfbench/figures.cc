@@ -4,9 +4,11 @@
 // parked unbound threads. Also the small replays of a traced run: a one-byte
 // ping-pong over the netpoller and the create-to-first-instruction span.
 //
-// The figures run interleaved in short rounds, and each is reported as the
-// best decile of all its timed blocks, so a slow stretch of the machine lands
-// on every figure a little rather than on one figure entirely.
+// The figures run interleaved in short rounds, which the workloads in turn
+// interleave with their own load, so a slow stretch of the machine lands on
+// every figure a little rather than on one figure entirely. Each figure is
+// the best decile of its timed blocks in the phases with the least host steal
+// (see QuietWindows in common.h).
 
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -358,56 +360,78 @@ ParkedPopulation::~ParkedPopulation() {
 
 // ---- The figures -------------------------------------------------------------------
 
-void RunFigures(const Options& opt, double budget_s, Result* r,
-                LayerCounters* traced) {
-  bool miss_one = opt.inject == "handshake";
-  bool child_fails = opt.inject == "child_exit";
-  int rounds = std::max(1, static_cast<int>(budget_s / kRoundSeconds + 0.5));
-  double round_s = budget_s / rounds;
+template <typename Fn>
+void Figures::Timed(Blocks* b, Fn fn) {
+  b->blocks.emplace_back();
+  HostTicks start = HostTicks::Read();
+  fn(&b->blocks.back());
+  b->steal.push_back(HostTicks::StealShare(start, HostTicks::Read()));
+}
 
-  std::vector<double> create_unbound, create_bound;
-  std::vector<double> sync_unbound, sync_bound, sync_xproc;
-  int64_t v_ns = 0;
-  int64_t p_ns = 0;
-  uint64_t traced_handshakes = 0;
-  LayerCounters xproc;
-  for (int round = 0; round < rounds; ++round) {
-    Phase(opt, traced, [&] {
-      Handshake unbound;
-      unbound.per_sync_us = &sync_unbound;
-      MeasureSync(0, 1000, 0.15 * round_s, miss_one && round == 0, r, &unbound,
-                  "sync_unbound");
-      v_ns += unbound.v_ns;
-      p_ns += unbound.p_ns;
-      traced_handshakes += unbound.traced_rounds;
-      MeasureCreate(0, 64, 0.15 * round_s, r, "create_unbound",
-                    &create_unbound);
-      MeasureCreate(sunmt::THREAD_BIND_LWP, 16, 0.2 * round_s, r,
-                    "create_bound", &create_bound);
-      Handshake bound;
-      bound.per_sync_us = &sync_bound;
-      MeasureSync(sunmt::THREAD_BIND_LWP, 100, 0.2 * round_s, false, r, &bound,
-                  "sync_bound");
+double Figures::Best(const Blocks& b) {
+  std::vector<double> quiet;
+  for (size_t i : QuietWindows(b.steal)) {
+    quiet.insert(quiet.end(), b.blocks[i].begin(), b.blocks[i].end());
+  }
+  return BestDecileTime(quiet);
+}
+
+void Figures::Run(double seconds, Result* r, LayerCounters* traced) {
+  bool child_fails = opt_.inject == "child_exit";
+  int rounds = std::max(1, static_cast<int>(seconds / kRoundSeconds + 0.5));
+  double round_s = seconds / rounds;
+  for (int i = 0; i < rounds; ++i, ++rounds_) {
+    bool first = rounds_ == 0;
+    Phase(opt_, traced, [&] {
+      Timed(&sync_unbound_, [&](std::vector<double>* blocks) {
+        Handshake unbound;
+        unbound.per_sync_us = blocks;
+        MeasureSync(0, 1000, 0.15 * round_s,
+                    first && opt_.inject == "handshake", r, &unbound,
+                    "sync_unbound");
+        v_ns_ += unbound.v_ns;
+        p_ns_ += unbound.p_ns;
+        traced_handshakes_ += unbound.traced_rounds;
+      });
+      Timed(&create_unbound_, [&](std::vector<double>* blocks) {
+        MeasureCreate(0, 64, 0.15 * round_s, r, "create_unbound", blocks);
+      });
+      Timed(&create_bound_, [&](std::vector<double>* blocks) {
+        MeasureCreate(sunmt::THREAD_BIND_LWP, 16, 0.2 * round_s, r,
+                      "create_bound", blocks);
+      });
+      Timed(&sync_bound_, [&](std::vector<double>* blocks) {
+        Handshake bound;
+        bound.per_sync_us = blocks;
+        MeasureSync(sunmt::THREAD_BIND_LWP, 100, 0.2 * round_s, false, r,
+                    &bound, "sync_bound");
+      });
     });
-    Phase(opt, &xproc, [&] {
-      MeasureCrossProcess(100, 0.3 * round_s, child_fails && round == 0, r,
-                          &sync_xproc);
+    Phase(opt_, &xproc_, [&] {
+      Timed(&sync_xproc_, [&](std::vector<double>* blocks) {
+        MeasureCrossProcess(100, 0.3 * round_s, first && child_fails, r,
+                            blocks);
+      });
     });
   }
-  r->Set("sync_unbound_us", BestDecileTime(sync_unbound), "us");
-  r->Set("create_unbound_us", BestDecileTime(create_unbound), "us");
-  r->Set("create_bound_us", BestDecileTime(create_bound), "us");
-  r->Set("sync_bound_us", BestDecileTime(sync_bound), "us");
-  r->Set("sync_xproc_us", BestDecileTime(sync_xproc), "us");
+  seconds_ += seconds;
+}
 
-  double handshakes = traced_handshakes > 0 ? traced_handshakes : 1;
-  r->Set("sync.sema_v_ns", static_cast<double>(v_ns) / handshakes, "ns");
-  r->Set("sync.sema_p_ns", static_cast<double>(p_ns) / handshakes, "ns");
+void Figures::Finish(Result* r, LayerCounters* traced) {
+  r->Set("sync_unbound_us", Best(sync_unbound_), "us");
+  r->Set("create_unbound_us", Best(create_unbound_), "us");
+  r->Set("create_bound_us", Best(create_bound_), "us");
+  r->Set("sync_bound_us", Best(sync_bound_), "us");
+  r->Set("sync_xproc_us", Best(sync_xproc_), "us");
+
+  double handshakes = traced_handshakes_ > 0 ? traced_handshakes_ : 1;
+  r->Set("sync.sema_v_ns", static_cast<double>(v_ns_) / handshakes, "ns");
+  r->Set("sync.sema_p_ns", static_cast<double>(p_ns_) / handshakes, "ns");
   r->Set("sync.sema_wait_shared_mean_us",
-         xproc.H(sunmt::LatencyStat::kSemaWaitShared).Mean() / 1e3, "us");
-  traced->Add(xproc);
-  if (opt.trace) {
-    r->Set("arch.yield_switch_ns", YieldSwitchNs(0.05 * budget_s, opt.nproc),
+         xproc_.H(sunmt::LatencyStat::kSemaWaitShared).Mean() / 1e3, "us");
+  traced->Add(xproc_);
+  if (opt_.trace) {
+    r->Set("arch.yield_switch_ns", YieldSwitchNs(0.05 * seconds_, opt_.nproc),
            "ns");
   }
 

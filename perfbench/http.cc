@@ -31,8 +31,10 @@ extern char** environ;
 namespace perfbench {
 namespace {
 
-constexpr int kSlices = 8;  // traced run: alternating untraced/traced slices
-constexpr double kFiguresSeconds = 4.0;
+// The timed window is kSegments load segments, each followed by a round of
+// the figures; the load takes kLoadShare of the window.
+constexpr int kSegments = 8;
+constexpr double kLoadShare = 0.75;
 
 // Parsed "result k=v ..." line of the client.
 struct ClientResult {
@@ -141,7 +143,6 @@ class HttpWorkload : public Workload {
         "--port", std::to_string(server_->port()),
         "--mode", churn_ ? "churn" : "keepalive",
         "--seed", std::to_string(opt_.seed),
-        "--seconds", std::to_string(opt_.seconds),
         "--threads", std::to_string(opt_.nproc),
         "--trace", opt_.trace ? "1" : "0",
         "--spans", opt_.out_dir + "/client_spans.txt",
@@ -195,6 +196,57 @@ class HttpWorkload : public Workload {
       }
       pending_.append(buf, static_cast<size_t>(n));
     }
+  }
+
+  // One load segment: the client runs its closed loop for `seconds` and
+  // answers "done". Tracks the most LWPs seen meanwhile in *lwps_max.
+  // Also records the server's share of each 0.25 s window in intervals_.
+  bool RunSegment(double seconds, size_t* lwps_max) {
+    char go[64];
+    snprintf(go, sizeof(go), "go %.6f", seconds);
+    WriteLine(go);
+    int64_t start = NowNs();
+    int64_t deadline =
+        start + static_cast<int64_t>(seconds * 1e9) + 60ll * 1000000000;
+    int64_t next = start + WindowedLatency::kWindowNs;
+    HostTicks last = HostTicks::Read();
+    uint64_t last_responses = server_->SnapshotStats().responses;
+    std::string line;
+    while (NowNs() < deadline) {
+      *lwps_max = std::max(*lwps_max, sunmt::LwpRegistry::Count());
+      if (NowNs() >= next) {
+        HostTicks now = HostTicks::Read();
+        uint64_t responses = server_->SnapshotStats().responses;
+        intervals_.push_back({HostTicks::StealShare(last, now),
+                              now.process_cpu_ns - last.process_cpu_ns,
+                              responses - last_responses});
+        last = now;
+        last_responses = responses;
+        next += WindowedLatency::kWindowNs;
+      }
+      if (ReadLine(&line, 20) && line == "done") {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // The server's CPU time per response over the quiet windows (see
+  // QuietWindows) of every load segment.
+  double QuietCpuNsPerResponse() const {
+    std::vector<double> steal;
+    for (const Interval& i : intervals_) {
+      steal.push_back(i.steal);
+    }
+    int64_t cpu = 0;
+    uint64_t responses = 0;
+    for (size_t i : QuietWindows(steal)) {
+      cpu += intervals_[i].cpu_ns;
+      responses += intervals_[i].responses;
+    }
+    return responses == 0
+               ? 0.0
+               : static_cast<double>(cpu) / static_cast<double>(responses);
   }
 
   void WriteLine(const char* s) {
@@ -309,6 +361,12 @@ class HttpWorkload : public Workload {
   std::unique_ptr<sunmt::HttpCache> cache_;
   std::unique_ptr<sunmt::HttpAccessLog> log_;
   std::unique_ptr<sunmt::HttpServer> server_;
+  struct Interval {
+    double steal;
+    int64_t cpu_ns;
+    uint64_t responses;
+  };
+  std::vector<Interval> intervals_;
   pid_t client_ = -1;
   int to_client_ = -1;
   int from_client_ = -1;
@@ -319,64 +377,56 @@ void HttpWorkload::Run(Result* r) {
   const char* what = churn_ ? "http_churn" : "http_keepalive";
   sunmt::HttpServerStats s0 = server_->SnapshotStats();
   sunmt::HttpCache::Stats c0 = cache_->SnapshotStats();
-  LayerCounters w0 = LayerCounters::Take();
-  size_t lwps_start = sunmt::LwpRegistry::Count();
-  size_t lwps_max = lwps_start;
+  const double load_s = kLoadShare * opt_.seconds / kSegments;
+  const double figures_s = (1 - kLoadShare) * opt_.seconds / kSegments;
 
-  // Traced run: the window alternates untraced and traced slices, so the
-  // tracing overhead is measured against the same load.
+  // The timed window: load segments interleaved with rounds of the figures.
+  // In a traced run every other load segment is traced, so the tracing
+  // overhead is measured against the same load.
+  Figures figures(opt_);
+  LayerCounters figure_counters;
   LayerCounters traced;
-  uint64_t slice_responses[2] = {0, 0};
-  int64_t slice_ns[2] = {0, 0};
-  const int64_t slice_len =
-      static_cast<int64_t>(opt_.seconds * 1e9) / kSlices;
-  int slice = 0;
-  int64_t slice_start = NowNs();
-  uint64_t slice_resp0 = s0.responses;
-  LayerCounters slice_counters = w0;
-  auto end_slice = [&](int64_t now) {
-    bool was_traced = slice % 2 == 1;
-    uint64_t resp = server_->SnapshotStats().responses;
-    if (was_traced) {
-      LayerCounters after = LayerCounters::Take();
-      traced.AddDelta(slice_counters, after);
-      SetTracing(false);
+  uint64_t segment_responses[2] = {0, 0};
+  int64_t segment_ns[2] = {0, 0};
+  uint64_t threads_created = 0;
+  uint64_t accepted = 0;
+  size_t lwps_end = 0;
+  bool segments_done = true;
+  for (int seg = 0; seg < kSegments && segments_done; ++seg) {
+    bool traced_seg = opt_.trace && seg % 2 == 1;
+    SetTracing(traced_seg);
+    size_t lwps_start = sunmt::LwpRegistry::Count();
+    sunmt::HttpServerStats before_stats = server_->SnapshotStats();
+    LayerCounters before = LayerCounters::Take();
+    int64_t start = NowNs();
+    size_t lwps_max = lwps_start;
+    segments_done = RunSegment(load_s, &lwps_max);
+    int64_t ns = NowNs() - start;
+    LayerCounters after = LayerCounters::Take();
+    sunmt::HttpServerStats after_stats = server_->SnapshotStats();
+    lwps_end = sunmt::LwpRegistry::Count();
+    SetTracing(false);
+    if (traced_seg) {
+      traced.AddDelta(before, after);
     }
-    slice_responses[was_traced] += resp - slice_resp0;
-    slice_ns[was_traced] += now - slice_start;
-    ++slice;
-    slice_start = now;
-    slice_resp0 = resp;
-    if (slice % 2 == 1 && slice < kSlices) {
-      SetTracing(true);
-      slice_counters = LayerCounters::Take();
-    }
-  };
-
-  WriteLine("go");
-  std::string line;
-  bool done = false;
-  int64_t hard_deadline =
-      NowNs() + static_cast<int64_t>(opt_.seconds * 1e9) + 60ll * 1000000000;
-  while (!done && NowNs() < hard_deadline) {
-    if (ReadLine(&line, 20)) {
-      done = line == "done";
-    }
-    lwps_max = std::max(lwps_max, sunmt::LwpRegistry::Count());
-    int64_t now = NowNs();
-    if (opt_.trace && (done || (now - slice_start >= slice_len &&
-                                slice < kSlices - 1))) {
-      end_slice(now);
-    }
+    segment_responses[traced_seg] +=
+        after_stats.responses - before_stats.responses;
+    segment_ns[traced_seg] += ns;
+    threads_created += after.threads_created - before.threads_created;
+    accepted += after_stats.accepted - before_stats.accepted;
+    r->Check(lwps_max <= lwps_start, "%s: LWPs grew from %zu to %zu", what,
+             lwps_start, lwps_max);
+    figures.Run(figures_s, r, &figure_counters);
   }
-  LayerCounters w1 = LayerCounters::Take();
   sunmt::HttpServerStats s1 = server_->SnapshotStats();
   sunmt::HttpCache::Stats c1 = cache_->SnapshotStats();
-  size_t lwps_end = sunmt::LwpRegistry::Count();
-  SetTracing(false);
+  r->Check(segments_done, "%s: the load generator did not finish a segment",
+           what);
 
+  std::string line;
+  WriteLine("report");
   ClientResult cr;
-  bool have_result = done && ReadLine(&line, 30000) && cr.Parse(line);
+  bool have_result = ReadLine(&line, 30000) && cr.Parse(line);
   int status = ReapClient();
   r->Check(have_result, "%s: no result from the load generator", what);
   r->Check(WIFEXITED(status) && WEXITSTATUS(status) == 0,
@@ -400,16 +450,11 @@ void HttpWorkload::Run(Result* r) {
   r->Set("req_per_s", cr.D("rate"), "req/s");
   r->Set("req_p50_us", cr.D("p50_ns") / 1e3, "us");
   r->Set("req_p99_us", cr.D("p99_ns") / 1e3, "us");
-  r->Set("cpu_us_per_req",
-         window_responses == 0
-             ? 0
-             : static_cast<double>(w1.process_cpu_ns - w0.process_cpu_ns) /
-                   1e3 / static_cast<double>(window_responses),
-         "us");
+  r->Set("cpu_us_per_req", QuietCpuNsPerResponse() / 1e3, "us");
   r->Set("lwps", static_cast<double>(lwps_end), "count");
 
-  // Per-layer metrics of the traced slices, and the replays.
-  SetLayerMetrics(traced, static_cast<double>(slice_responses[1]), r);
+  // Per-layer metrics of the traced segments, and the replays.
+  SetLayerMetrics(traced, static_cast<double>(segment_responses[1]), r);
   uint64_t lookups = (c1.hits - c0.hits) + (c1.misses - c0.misses);
   r->Set("http.cache_hit_ratio",
          lookups == 0 ? 0
@@ -424,13 +469,13 @@ void HttpWorkload::Run(Result* r) {
                                      static_cast<double>(window_responses),
          "count");
   double untraced_rate =
-      slice_ns[0] > 0 ? static_cast<double>(slice_responses[0]) /
-                            static_cast<double>(slice_ns[0])
-                      : 0;
+      segment_ns[0] > 0 ? static_cast<double>(segment_responses[0]) /
+                              static_cast<double>(segment_ns[0])
+                        : 0;
   double traced_rate =
-      slice_ns[1] > 0 ? static_cast<double>(slice_responses[1]) /
-                            static_cast<double>(slice_ns[1])
-                      : 0;
+      segment_ns[1] > 0 ? static_cast<double>(segment_responses[1]) /
+                              static_cast<double>(segment_ns[1])
+                        : 0;
   r->Set("trace.overhead_pct",
          untraced_rate > 0 ? (1 - traced_rate / untraced_rate) * 100 : 0, "%");
   if (opt_.trace) {
@@ -470,21 +515,15 @@ void HttpWorkload::Run(Result* r) {
            what, static_cast<unsigned long long>(log_->lines_written()),
            static_cast<unsigned long long>(log_->lines_dropped()),
            static_cast<unsigned long long>(sf.responses));
-  r->Check(lwps_max <= lwps_start, "%s: LWPs grew from %zu to %zu", what,
-           lwps_start, lwps_max);
-  r->Check(w1.threads_created - w0.threads_created == s1.accepted - s0.accepted,
+  r->Check(threads_created == accepted,
            "%s: %llu threads created for %llu accepted connections", what,
-           static_cast<unsigned long long>(w1.threads_created -
-                                           w0.threads_created),
-           static_cast<unsigned long long>(s1.accepted - s0.accepted));
+           static_cast<unsigned long long>(threads_created),
+           static_cast<unsigned long long>(accepted));
   r->Check(server_->active_connections() == 0,
            "%s: %d connections still active after Stop", what,
            server_->active_connections());
   StopServer();
-
-  // The paper's figures, short, on the runtime the server leaves behind.
-  LayerCounters figures;
-  RunFigures(opt_, kFiguresSeconds, r, &figures);
+  figures.Finish(r, &figure_counters);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@
 namespace perfbench {
 namespace {
 
-constexpr int kSetupRounds = 5;
+constexpr int kSetupRounds = 9;
 constexpr int kPopulation = 4096;
 
 const char* const kEndToEnd[] = {
@@ -161,7 +161,9 @@ int main(int argc, char** argv) {
   r.Set("setup_s", Median(setup_s), "s");
   r.Set("rss_kib_per_thread", Median(rss_kib), "KiB");
 
+  HostTicks before = HostTicks::Read();
   workload->Run(&r);
+  double steal = HostTicks::StealShare(before, HostTicks::Read());
   population.Release(&r);
   workload.reset();
 
@@ -172,6 +174,7 @@ int main(int argc, char** argv) {
   }
   printf("engine %s\n",
          sunmt::net_backend_exists() ? sunmt::net_backend_name() : "none");
+  printf("steal %.4f\n", steal);
   bool printed = opt.trace ? PrintResult(r, kPerLayer) : PrintResult(r, kEndToEnd);
   fflush(stdout);
   // Threads still parked in the library (the poller, the pool) are not

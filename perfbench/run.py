@@ -120,9 +120,12 @@ def main():
         log("perfbench: no result line")
         return 1
     engine = "none"
+    steal = None
     for line in lines[:-1]:
         if line.startswith("engine "):
             engine = line.split(None, 1)[1]
+        elif line.startswith("steal "):
+            steal = float(line.split()[1])
     host = {
         "nproc": os.cpu_count(),
         "cpu": cpu_model(),
@@ -130,6 +133,7 @@ def main():
         "source": source_id(root),
         "build_type": BUILD_TYPE,
         "net_engine": engine,
+        "host_steal": steal,
         "workload": args.workload,
         "seed": args.seed,
     }

@@ -22,9 +22,10 @@ import sys
 
 CASES = [
     ("", "threads"),
+    ("", "http_churn"),
     ("", "http_keepalive"),
-    ("status", "http_keepalive"),
-    ("body", "http_keepalive"),
+    ("status", "http_churn"),
+    ("body", "http_churn"),
     ("short", "http_churn"),
     ("handshake", "threads"),
     ("child_exit", "threads"),

@@ -1,9 +1,7 @@
-// The threads workload: the paper's Figures 5 and 6 run long, then a
-// request/reply phase between pairs of unbound threads at the shipped
+// The threads workload: the paper's Figures 5 and 6 run long, interleaved
+// with request/reply segments between pairs of unbound threads at the shipped
 // concurrency. No net, timer or HTTP code runs here, so a change to those
 // layers should leave every number of this workload where it was.
-
-#include <unistd.h>
 
 #include <memory>
 #include <vector>
@@ -16,8 +14,8 @@
 namespace perfbench {
 namespace {
 
-constexpr double kFiguresShare = 0.7;
-constexpr int kSlices = 8;
+constexpr int kSegments = 8;
+constexpr double kRequestShare = 0.3;
 
 // One client/server pair: the client's v(request); p(reply) is one request.
 struct Pair {
@@ -69,17 +67,65 @@ class ThreadsWorkload : public Workload {
   bool Setup(Result*) override { return true; }
   void Teardown() override {}
 
+  // kSegments request segments, each followed by a round of the figures; the
+  // requests take kRequestShare of the window. In a traced run every other
+  // request segment is traced, to measure the tracing overhead on the same
+  // load.
   void Run(Result* r) override {
-    LayerCounters figures;
-    RunFigures(opt_, kFiguresShare * opt_.seconds, r, &figures);
-    RunRequests(r);
+    const double requests_s = kRequestShare * opt_.seconds / kSegments;
+    const double figures_s = (1 - kRequestShare) * opt_.seconds / kSegments;
+    Figures figures(opt_);
+    LayerCounters figure_counters;
+    LayerCounters traced;
+    WindowedLatency latency;
+    uint64_t requests = 0;
+    uint64_t segment_requests[2] = {0, 0};
+    int64_t segment_ns[2] = {0, 0};
+    for (int seg = 0; seg < kSegments; ++seg) {
+      bool traced_seg = opt_.trace && seg % 2 == 1;
+      SetTracing(traced_seg);
+      LayerCounters before = LayerCounters::Take();
+      int64_t start = NowNs();
+      uint64_t n = RunRequests(requests_s, r, &latency);
+      int64_t ns = NowNs() - start;
+      LayerCounters after = LayerCounters::Take();
+      SetTracing(false);
+      if (traced_seg) {
+        traced.AddDelta(before, after);
+      }
+      requests += n;
+      segment_requests[traced_seg] += n;
+      segment_ns[traced_seg] += ns;
+      figures.Run(figures_s, r, &figure_counters);
+    }
+    r->AddOps(requests, 0);
+    r->Set("req_per_s", latency.QuietRate(), "req/s");
+    r->Set("req_p50_us", latency.QuietQuantile(0.50) / 1e3, "us");
+    r->Set("req_p99_us", latency.QuietQuantile(0.99) / 1e3, "us");
+    r->Set("cpu_us_per_req", latency.QuietCpuNsPerOp() / 1e3, "us");
     r->Set("lwps", static_cast<double>(sunmt::LwpRegistry::Count()), "count");
+    SetLayerMetrics(traced, static_cast<double>(segment_requests[1]), r);
+    double untraced_rate =
+        segment_ns[0] > 0 ? static_cast<double>(segment_requests[0]) /
+                                static_cast<double>(segment_ns[0])
+                          : 0;
+    double traced_rate =
+        segment_ns[1] > 0 ? static_cast<double>(segment_requests[1]) /
+                                static_cast<double>(segment_ns[1])
+                          : 0;
+    r->Set("trace.overhead_pct",
+           untraced_rate > 0 ? (1 - traced_rate / untraced_rate) * 100 : 0,
+           "%");
+
+    figures.Finish(r, &figure_counters);
     // The stack cache serves the create phases of the figures.
-    uint64_t stack_lookups = figures.stack_hits + figures.stack_misses;
+    uint64_t stack_lookups =
+        figure_counters.stack_hits + figure_counters.stack_misses;
     r->Set("objcache.stack_hit_ratio",
-           stack_lookups == 0 ? 0
-                              : static_cast<double>(figures.stack_hits) /
-                                    static_cast<double>(stack_lookups),
+           stack_lookups == 0
+               ? 0
+               : static_cast<double>(figure_counters.stack_hits) /
+                     static_cast<double>(stack_lookups),
            "ratio");
     // Layers that never run in this workload read 0.
     r->Set("http.cache_hit_ratio", 0, "ratio");
@@ -93,14 +139,14 @@ class ThreadsWorkload : public Workload {
   }
 
  private:
-  // nproc client/server pairs of unbound threads for the rest of the window.
-  void RunRequests(Result* r) {
-    LayerCounters traced;
-    double seconds = (1 - kFiguresShare) * opt_.seconds;
+  // nproc client/server pairs of unbound threads for `seconds`; appends the
+  // segment's latency windows to *latency and returns its request count.
+  uint64_t RunRequests(double seconds, Result* r, WindowedLatency* latency) {
     std::vector<std::unique_ptr<Pair>> pairs;
     std::vector<sunmt::thread_id_t> ids;
-    LayerCounters w0 = LayerCounters::Take();
     int64_t start = NowNs();
+    WindowedLatency segment(start, seconds);
+    HostSampler host(start, WindowedLatency::kWindowNs, segment.windows());
     for (int i = 0; i < opt_.nproc; ++i) {
       auto p = std::make_unique<Pair>(start, seconds);
       sunmt::sema_init(&p->request, 0, 0, nullptr);
@@ -113,52 +159,10 @@ class ThreadsWorkload : public Workload {
                                          sunmt::THREAD_WAIT));
       pairs.push_back(std::move(p));
     }
-    auto sent = [&] {
-      uint64_t n = 0;
-      for (auto& p : pairs) {
-        n += p->sent.load(std::memory_order_relaxed);
-      }
-      return n;
-    };
-    // Traced run: alternate untraced and traced slices, as the HTTP
-    // workloads do, to measure the tracing overhead on the same load.
-    uint64_t slice_requests[2] = {0, 0};
-    int64_t slice_ns[2] = {0, 0};
-    if (opt_.trace) {
-      int64_t slice_len = static_cast<int64_t>(seconds * 1e9) / kSlices;
-      int64_t slice_start = start;
-      uint64_t sent0 = 0;
-      for (int slice = 0; slice < kSlices; ++slice) {
-        bool on = slice % 2 == 1;
-        LayerCounters before;
-        if (on) {
-          SetTracing(true);
-          before = LayerCounters::Take();
-        }
-        int64_t until = slice == kSlices - 1 ? start + static_cast<int64_t>(
-                                                           seconds * 1e9)
-                                             : slice_start + slice_len;
-        while (NowNs() < until) {
-          usleep(1000);
-        }
-        uint64_t now_sent = sent();
-        if (on) {
-          traced.AddDelta(before, LayerCounters::Take());
-          SetTracing(false);
-        }
-        int64_t now = NowNs();
-        slice_requests[on] += now_sent - sent0;
-        slice_ns[on] += now - slice_start;
-        sent0 = now_sent;
-        slice_start = now;
-      }
-    }
     for (sunmt::thread_id_t id : ids) {
       sunmt::thread_wait(id);
     }
-    LayerCounters w1 = LayerCounters::Take();
-
-    WindowedLatency all(start, seconds);
+    segment.SetHost(host.Finish());
     uint64_t requests = 0;
     for (auto& p : pairs) {
       uint64_t n = p->sent.load();
@@ -166,30 +170,10 @@ class ThreadsWorkload : public Workload {
                p->index, static_cast<unsigned long long>(n),
                static_cast<unsigned long long>(p->seen));
       requests += n;
-      all.Merge(p->latency);
+      segment.Merge(p->latency);
     }
-    r->AddOps(requests, 0);
-    r->Set("req_per_s", all.BestRate(), "req/s");
-    r->Set("req_p50_us", all.BestQuantile(0.50) / 1e3, "us");
-    r->Set("req_p99_us", all.BestQuantile(0.99) / 1e3, "us");
-    r->Set("cpu_us_per_req",
-           requests == 0 ? 0
-                         : static_cast<double>(w1.process_cpu_ns -
-                                               w0.process_cpu_ns) /
-                               1e3 / static_cast<double>(requests),
-           "us");
-    SetLayerMetrics(traced, static_cast<double>(slice_requests[1]), r);
-    double untraced_rate =
-        slice_ns[0] > 0 ? static_cast<double>(slice_requests[0]) /
-                              static_cast<double>(slice_ns[0])
-                        : 0;
-    double traced_rate =
-        slice_ns[1] > 0 ? static_cast<double>(slice_requests[1]) /
-                              static_cast<double>(slice_ns[1])
-                        : 0;
-    r->Set("trace.overhead_pct",
-           untraced_rate > 0 ? (1 - traced_rate / untraced_rate) * 100 : 0,
-           "%");
+    latency->Append(segment);
+    return requests;
   }
 
   Options opt_;
